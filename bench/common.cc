@@ -1,6 +1,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bench/common.h"
 #include "fault/fault_injector.h"
@@ -412,6 +413,12 @@ runner::TrialSpec ScaleTrial(const ScaleCase& c,
       r.counters["hybrid_ff_packets"] = hs.ff_packets;
       r.counters["hybrid_probes"] = hs.probes;
       r.counters["hybrid_entry_rejects"] = hs.entry_rejects;
+      for (size_t i = 0; i < hybrid::kNumRejectReasons; ++i) {
+        r.counters[std::string("hybrid_reject_") +
+                   hybrid::RejectReasonName(
+                       static_cast<hybrid::RejectReason>(i))] =
+            hs.rejects[i];
+      }
       r.counters["hybrid_exits_infeasible"] = hs.exits_infeasible;
       r.counters["hybrid_exits_fault"] = hs.exits_fault;
       r.metrics["hybrid_ff_ms"] = ToMilliseconds(hs.ff_time);

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "hybrid/engine.h"
 #include "runner/runner.h"
 #include "trace/distributions.h"
 
@@ -153,6 +154,24 @@ int main(int argc, char** argv) {
                 r.metrics.at("sim_ms"), cnt("events"),
                 cnt("hybrid_ff_packets"), cnt("hybrid_ff_completions"),
                 cnt("hybrid_epochs"), wall > 0 ? sim_s / wall : 0.0);
+  }
+  if (!packet) {
+    // Why probes stayed in packet mode: each rejected probe counts under
+    // the first RejectReason that held (src/hybrid/engine.h).
+    std::printf("\nhybrid probe rejects by reason:\n");
+    for (const runner::TrialResult& r : results) {
+      std::printf("%-10s %lld of %lld probes:", r.name.c_str(),
+                  static_cast<long long>(r.counters.at("hybrid_entry_rejects")),
+                  static_cast<long long>(r.counters.at("hybrid_probes")));
+      for (size_t i = 0; i < hybrid::kNumRejectReasons; ++i) {
+        const char* reason =
+            hybrid::RejectReasonName(static_cast<hybrid::RejectReason>(i));
+        const int64_t n =
+            r.counters.at(std::string("hybrid_reject_") + reason);
+        if (n > 0) std::printf(" %s %lld", reason, static_cast<long long>(n));
+      }
+      std::printf("\n");
+    }
   }
   std::printf(
       "\n(Run once with --packet and once without: events_packet / "

@@ -1,54 +1,82 @@
 #include "hybrid/allocator.h"
 
+#include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace dcqcn::hybrid {
 
-AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
-                           const std::vector<Rate>& link_capacity) {
-  const size_t nf = demands.size();
-  const size_t nl = link_capacity.size();
-  AllocResult out;
-  out.rate.assign(nf, 0.0);
-  if (nf == 0) return out;
+// Saturation tolerance relative to the link's own capacity: rates are
+// doubles, so "remaining == 0" needs slack after repeated subtraction.
+constexpr double kRelTol = 1e-9;
 
-  std::vector<Rate> remaining = link_capacity;
-  std::vector<int32_t> active(nl, 0);   // unfrozen flows crossing each link
-  std::vector<char> frozen(nf, 0);
-  size_t unfrozen = 0;
-  for (size_t f = 0; f < nf; ++f) {
-    DCQCN_CHECK(demands[f].cap > 0);
-    ++unfrozen;
-    for (int32_t l : demands[f].links) {
-      DCQCN_CHECK(l >= 0 && static_cast<size_t>(l) < nl);
-      ++active[l];
+MaxMinSolver::MaxMinSolver(std::vector<Rate> link_capacity)
+    : link_capacity_(std::move(link_capacity)),
+      local_of_(link_capacity_.size(), -1) {}
+
+void MaxMinSolver::Clear() {
+  for (int32_t g : global_of_) local_of_[static_cast<size_t>(g)] = -1;
+  global_of_.clear();
+  cap_.clear();
+  begin_.resize(1);
+  demand_links_.clear();
+}
+
+void MaxMinSolver::Add(Rate cap, std::span<const int32_t> links) {
+  DCQCN_CHECK(cap > 0);
+  cap_.push_back(cap);
+  for (int32_t l : links) {
+    DCQCN_CHECK(l >= 0 && static_cast<size_t>(l) < local_of_.size());
+    int32_t& local = local_of_[static_cast<size_t>(l)];
+    if (local < 0) {
+      local = static_cast<int32_t>(global_of_.size());
+      global_of_.push_back(l);
     }
+    demand_links_.push_back(local);
   }
+  begin_.push_back(static_cast<uint32_t>(demand_links_.size()));
+}
 
-  // Saturation tolerance relative to the link's own capacity: rates are
-  // doubles, so "remaining == 0" needs slack after repeated subtraction.
-  constexpr double kRelTol = 1e-9;
+const std::vector<Rate>& MaxMinSolver::Solve() {
+  const size_t nf = cap_.size();
+  const size_t nl = global_of_.size();
+  rate_.assign(nf, 0.0);
+  frozen_.assign(nf, 0);
+  remaining_.resize(nl);
+  tol_.resize(nl);
+  active_.assign(nl, 0);
+  for (size_t l = 0; l < nl; ++l) {
+    remaining_[l] = link_capacity_[static_cast<size_t>(global_of_[l])];
+    tol_[l] = kRelTol * remaining_[l];
+  }
+  for (int32_t l : demand_links_) ++active_[static_cast<size_t>(l)];
+  auto links_of = [this](size_t f) {
+    return std::span<const int32_t>(demand_links_.data() + begin_[f],
+                                    demand_links_.data() + begin_[f + 1]);
+  };
 
+  rounds_ = 0;
+  size_t unfrozen = nf;
   while (unfrozen > 0) {
-    ++out.rounds;
+    ++rounds_;
     // Uniform increment: the smallest headroom-per-active-flow over all
     // loaded links, clamped by the closest per-flow cap.
     double inc = std::numeric_limits<double>::infinity();
     for (size_t l = 0; l < nl; ++l) {
-      if (active[l] > 0) inc = std::min(inc, remaining[l] / active[l]);
+      if (active_[l] > 0) inc = std::min(inc, remaining_[l] / active_[l]);
     }
     for (size_t f = 0; f < nf; ++f) {
-      if (!frozen[f]) inc = std::min(inc, demands[f].cap - out.rate[f]);
+      if (!frozen_[f]) inc = std::min(inc, cap_[f] - rate_[f]);
     }
     if (inc < 0) inc = 0;
 
     for (size_t f = 0; f < nf; ++f) {
-      if (!frozen[f]) out.rate[f] += inc;
+      if (!frozen_[f]) rate_[f] += inc;
     }
     for (size_t l = 0; l < nl; ++l) {
-      if (active[l] > 0) remaining[l] -= inc * active[l];
+      if (active_[l] > 0) remaining_[l] -= inc * active_[l];
     }
 
     // Freeze flows at cap and flows on saturated links. At least one flow
@@ -56,28 +84,29 @@ AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
     // most nf rounds.
     size_t froze = 0;
     for (size_t f = 0; f < nf; ++f) {
-      if (frozen[f]) continue;
-      bool stop = out.rate[f] >= demands[f].cap * (1.0 - kRelTol);
+      if (frozen_[f]) continue;
+      bool stop = rate_[f] >= cap_[f] * (1.0 - kRelTol);
       if (!stop) {
-        for (int32_t l : demands[f].links) {
-          if (remaining[l] <= kRelTol * link_capacity[l]) {
+        for (int32_t l : links_of(f)) {
+          if (remaining_[static_cast<size_t>(l)] <=
+              tol_[static_cast<size_t>(l)]) {
             stop = true;
             break;
           }
         }
       }
       if (stop) {
-        frozen[f] = 1;
+        frozen_[f] = 1;
         ++froze;
         --unfrozen;
-        for (int32_t l : demands[f].links) --active[l];
+        for (int32_t l : links_of(f)) --active_[static_cast<size_t>(l)];
       }
     }
     // Numerical backstop: if the tolerance let a round pass with no freeze,
     // freeze everything at the current level rather than loop forever.
     if (froze == 0) break;
   }
-  return out;
+  return rate_;
 }
 
 }  // namespace dcqcn::hybrid

@@ -49,17 +49,44 @@ bool ParseHybridSpec(const std::string& spec, HybridConfig* out) {
   return true;
 }
 
+const char* RejectReasonName(RejectReason r) {
+  switch (r) {
+    case RejectReason::kLoss: return "loss";
+    case RejectReason::kFaultWindow: return "fault_window";
+    case RejectReason::kQueue: return "queue";
+    case RejectReason::kPfc: return "pfc";
+    case RejectReason::kSlowReceiver: return "slow_receiver";
+    case RejectReason::kNotStarted: return "not_started";
+    case RejectReason::kWindowBased: return "window_based";
+    case RejectReason::kMultiMessage: return "multi_message";
+    case RejectReason::kLossRewind: return "loss_rewind";
+    case RejectReason::kNothingToElide: return "nothing_to_elide";
+    case RejectReason::kInfeasible: return "infeasible";
+    case RejectReason::kNone: break;
+  }
+  return "none";
+}
+
+namespace {
+
+// Every link's rate, by Link::index().
+std::vector<Rate> LinkCapacities(const Network& net) {
+  std::vector<Rate> cap;
+  cap.reserve(net.links().size());
+  for (const auto& l : net.links()) {
+    DCQCN_CHECK(l->index() == static_cast<int32_t>(cap.size()));
+    cap.push_back(l->rate());
+  }
+  return cap;
+}
+
+}  // namespace
+
 HybridEngine::HybridEngine(Network* net, const HybridConfig& cfg,
                            const FaultPlan* faults)
-    : net_(net), cfg_(cfg) {
+    : net_(net), cfg_(cfg), solver_(LinkCapacities(*net)) {
   DCQCN_CHECK(!net->sharded());  // single-queue engine only (CLI enforces)
   if (faults != nullptr) faults_ = *faults;
-  const auto& links = net_->links();
-  link_capacity_.reserve(links.size());
-  for (size_t i = 0; i < links.size(); ++i) {
-    link_index_.emplace(links[i].get(), static_cast<int32_t>(i));
-    link_capacity_.push_back(links[i]->rate());
-  }
   net_->SetFlowObserver([this](SenderQp* qp) { OnFlowStarted(qp); });
 }
 
@@ -117,11 +144,14 @@ void HybridEngine::SweepCompleted() {
 void HybridEngine::Probe() {
   ++stats_.probes;
   SweepCompleted();
-  if (FabricQuiescent() && TryEnterFlowMode()) return;
+  RejectReason r = FabricReject();
+  if (r == RejectReason::kNone) r = TryEnterFlowMode();
+  if (r == RejectReason::kNone) return;
   ++stats_.entry_rejects;
+  ++stats_.rejects[static_cast<size_t>(r)];
 }
 
-bool HybridEngine::FabricQuiescent() {
+RejectReason HybridEngine::FabricReject() {
   const Time now = net_->eq().Now();
   // Loss activity since the last probe; baselines refresh unconditionally.
   const int64_t drops = net_->TotalDrops();
@@ -129,27 +159,34 @@ bool HybridEngine::FabricQuiescent() {
   const bool quiet = drops == last_drops_ && naks == last_naks_;
   last_drops_ = drops;
   last_naks_ = naks;
-  if (!quiet) return false;
-  if (InFaultWindow(now)) return false;
+  if (!quiet) return RejectReason::kLoss;
+  if (InFaultWindow(now)) return RejectReason::kFaultWindow;
+  // One pass per node kind; a later reason is only returned once no earlier
+  // one holds anywhere.
+  bool pfc = false;
   for (const auto& sw : net_->switches()) {
     // Below RED kmin nothing marks, so packet-level CC would see no signal;
     // queue_frac keeps a margin under it.
     const Bytes limit = static_cast<Bytes>(
         cfg_.queue_frac * static_cast<double>(sw->config().red.kmin));
-    if (sw->shared_occupancy() > limit) return false;
-    for (int p = 0; p < sw->num_ports(); ++p) {
-      for (int pr = 0; pr < kNumPriorities; ++pr) {
-        if (sw->PauseSent(p, pr) || sw->TxPaused(p, pr)) return false;
-      }
-    }
+    if (sw->shared_occupancy() > limit) return RejectReason::kQueue;
+    pfc = pfc || sw->AnyPfcActive();
   }
+  if (pfc) return RejectReason::kPfc;
+  bool slow = false;
   for (const auto& nic : net_->hosts()) {
-    if (nic->control_delay() > 0) return false;  // slow-receiver fault
-    for (int pr = 0; pr < kNumPriorities; ++pr) {
-      if (nic->TxPaused(pr)) return false;
-    }
+    if (nic->AnyTxPaused()) return RejectReason::kPfc;
+    slow = slow || nic->control_delay() > 0;
   }
-  return true;
+  return slow ? RejectReason::kSlowReceiver : RejectReason::kNone;
+}
+
+RejectReason HybridEngine::FlowReject(const SenderQp* qp) {
+  if (!qp->started() || qp->unbounded()) return RejectReason::kNotStarted;
+  if (qp->cc().window_based()) return RejectReason::kWindowBased;
+  if (qp->OutstandingMessages() > 1) return RejectReason::kMultiMessage;
+  if (qp->snd_next() < qp->snd_high()) return RejectReason::kLossRewind;
+  return RejectReason::kNone;
 }
 
 bool HybridEngine::InFaultWindow(Time t) const {
@@ -175,30 +212,30 @@ Time HybridEngine::NextFaultBoundary(Time after) const {
 
 // --- flow mode --------------------------------------------------------------
 
-bool HybridEngine::TryEnterFlowMode() {
+RejectReason HybridEngine::TryEnterFlowMode() {
   // All-or-nothing: a window-based, multi-message, rewinding, unbounded or
   // not-yet-started flow pins the whole network to packet mode (suspending
   // its NIC while others fast-forward would distort it).
-  std::vector<SenderQp*> todo;
+  RejectReason worst = RejectReason::kNone;
+  todo_.clear();
   for (SenderQp* qp : active_) {
-    if (!qp->started() || qp->unbounded()) return false;
-    if (qp->cc().window_based()) return false;
-    if (qp->OutstandingMessages() > 1) return false;
-    if (qp->snd_next() < qp->snd_high()) return false;  // loss rewind
+    worst = std::min(worst, FlowReject(qp));
+    if (worst == RejectReason::kNotStarted) return worst;  // first flow rank
     if (!qp->complete() && qp->snd_next() < qp->send_limit())
-      todo.push_back(qp);
+      todo_.push_back(qp);
   }
-  if (todo.empty()) return false;  // nothing to elide
+  if (worst != RejectReason::kNone) return worst;
+  if (todo_.empty()) return RejectReason::kNothingToElide;
 
   in_ff_ = true;
   ff_entry_ = net_->eq().Now();
-  for (SenderQp* qp : todo) {
+  for (SenderQp* qp : todo_) {
     if (!ModelFlow(qp)) {
       for (const FfFlow& f : ff_flows_)
         ff_pos_[static_cast<size_t>(f.flow_id)] = -1;
       ff_flows_.clear();
       in_ff_ = false;
-      return false;
+      return RejectReason::kInfeasible;
     }
   }
   // Nothing ran between the models (pure computation), so the frozen pacing
@@ -206,14 +243,11 @@ bool HybridEngine::TryEnterFlowMode() {
   // physically and drains itself under the suspension.
   for (const auto& nic : net_->hosts()) nic->SetTxSuspended(true);
   ++stats_.epochs;
-  return true;
+  return RejectReason::kNone;
 }
 
 bool HybridEngine::ModelFlow(SenderQp* qp) {
-  if (!qp->started() || qp->unbounded()) return false;
-  if (qp->cc().window_based()) return false;
-  if (qp->OutstandingMessages() > 1) return false;
-  if (qp->snd_next() < qp->snd_high()) return false;
+  if (FlowReject(qp) != RejectReason::kNone) return false;
   if (qp->complete() || qp->snd_next() >= qp->send_limit()) {
     // Fully sent (or raced to completion): the physical in-flight tail
     // finishes it without our help.
@@ -228,14 +262,14 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
   f.reff = qp->cc().RateCap();
   if (f.reff <= 0) return false;
 
-  const std::vector<Link*> path = net_->FlowPathLinks(qp->spec());
-  f.link_idx.reserve(path.size());
-  for (const Link* l : path) f.link_idx.push_back(LinkIndex(l));
+  net_->FlowPathLinks(qp->spec(), &path_);
+  f.link_idx.reserve(path_.size());
+  for (const Link* l : path_) f.link_idx.push_back(l->index());
   if (!AllocationFeasible(&f)) return false;
 
   FlowSpec rspec = qp->spec();
   std::swap(rspec.src_host, rspec.dst_host);
-  const std::vector<Link*> rpath = net_->FlowPathLinks(rspec);
+  net_->FlowPathLinks(rspec, &rpath_);
 
   // Mirror of SenderQp pacing + Link store-and-forward, in integer ps:
   // packet k sends at u0 + (k - k0) * gap, the last packet traverses the
@@ -245,12 +279,12 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
   f.u0 = std::max(qp->next_allowed(), net_->eq().Now());
   f.gap = TransmissionTime(kMtu, f.reff);
   const Bytes s_last = qp->PacketBytesAt(f.end - 1);
-  const Time d_ack = PathControlLatency(rpath);
+  const Time d_ack = PathControlLatency(rpath_);
   const Time t_last =
       f.u0 + static_cast<Time>(f.end - 1 - f.k0) * f.gap;
-  f.comp = t_last + PathDataLatency(path, s_last) + d_ack;
+  f.comp = t_last + PathDataLatency(path_, s_last) + d_ack;
   f.na_final = t_last + TransmissionTime(s_last, f.reff);
-  f.rtt_hint = PathDataLatency(path, kMtu) + d_ack;
+  f.rtt_hint = PathDataLatency(path_, kMtu) + d_ack;
 
   const size_t id = static_cast<size_t>(f.flow_id);
   if (ff_pos_.size() <= id) ff_pos_.resize(id + 1, -1);
@@ -260,18 +294,16 @@ bool HybridEngine::ModelFlow(SenderQp* qp) {
   return true;
 }
 
-bool HybridEngine::AllocationFeasible(const FfFlow* candidate) const {
-  std::vector<AllocDemand> demands;
-  demands.reserve(ff_flows_.size() + 1);
-  for (const FfFlow& f : ff_flows_)
-    demands.push_back(AllocDemand{f.reff, f.link_idx});
-  if (candidate != nullptr)
-    demands.push_back(AllocDemand{candidate->reff, candidate->link_idx});
-  const AllocResult res = MaxMinAllocate(demands, link_capacity_);
-  for (size_t i = 0; i < demands.size(); ++i) {
-    if (res.rate[i] < demands[i].cap * (1.0 - cfg_.eps)) return false;
+bool HybridEngine::AllocationFeasible(const FfFlow* candidate) {
+  solver_.Clear();
+  for (const FfFlow& f : ff_flows_) solver_.Add(f.reff, f.link_idx);
+  if (candidate != nullptr) solver_.Add(candidate->reff, candidate->link_idx);
+  const std::vector<Rate>& rate = solver_.Solve();
+  for (size_t i = 0; i < ff_flows_.size(); ++i) {
+    if (rate[i] < ff_flows_[i].reff * (1.0 - cfg_.eps)) return false;
   }
-  return true;
+  return candidate == nullptr ||
+         rate.back() >= candidate->reff * (1.0 - cfg_.eps);
 }
 
 void HybridEngine::StepFlowMode(Time deadline) {
@@ -340,7 +372,7 @@ void HybridEngine::ApplyDueCompletions(Time now) {
 }
 
 void HybridEngine::CompleteFlow(size_t idx) {
-  const FfFlow f = ff_flows_[idx];  // copy: callbacks may mutate the set
+  const FfFlow f = std::move(ff_flows_[idx]);  // callbacks may mutate the set
   // Unlink before the callbacks run so re-entrant observers see a
   // consistent modeled set.
   const size_t last = ff_flows_.size() - 1;
@@ -407,12 +439,6 @@ Time HybridEngine::PathDataLatency(const std::vector<Link*>& path,
 
 Time HybridEngine::PathControlLatency(const std::vector<Link*>& path) const {
   return PathDataLatency(path, kControlFrameBytes);
-}
-
-int32_t HybridEngine::LinkIndex(const Link* l) const {
-  const auto it = link_index_.find(l);
-  DCQCN_CHECK(it != link_index_.end());
-  return it->second;
 }
 
 }  // namespace dcqcn::hybrid

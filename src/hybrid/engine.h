@@ -16,7 +16,11 @@
 //     boundary, and every active flow rate-based, single-message,
 //     non-rewound, with a max-min allocation within eps of its policy rate
 //     cap (the water-filling allocator, src/hybrid/allocator.h). When the
-//     gate passes, the controller enters flow mode.
+//     gate passes, the controller enters flow mode; otherwise the probe is
+//     counted under its RejectReason. The fabric part of the gate reads a
+//     few summary fields per switch and NIC (SharedBufferSwitch::
+//     AnyPfcActive, RdmaNic::AnyTxPaused), and the allocator works only on
+//     the links the modeled flows cross.
 //
 //   * Flow mode — data transmission is suspended on every NIC (control and
 //     in-flight traffic keep running physically, so the wire drains itself
@@ -47,10 +51,10 @@
 // not composable with --shards or --host).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -87,9 +91,35 @@ struct HybridConfig {
 // *out untouched) on an unknown key or malformed value.
 bool ParseHybridSpec(const std::string& spec, HybridConfig* out);
 
+// Why a probe stayed in packet mode. A rejected probe counts under the
+// first reason in this order that holds anywhere: the gate reasons over
+// the whole fabric, then the flow reasons over every registered flow.
+enum class RejectReason : uint8_t {
+  // Gate reasons.
+  kLoss,          // drops or NAKs since the last probe
+  kFaultWindow,   // a fault active or within guard of a boundary
+  kQueue,         // a switch's shared occupancy above queue_frac * kmin
+  kPfc,           // a PAUSE sent or held at any switch or NIC
+  kSlowReceiver,  // a NIC under a slow-receiver fault (control delay)
+  // Flow reasons.
+  kNotStarted,      // a flow not yet started, or unbounded
+  kWindowBased,     // a flow under a window-based CC policy
+  kMultiMessage,    // a flow with more than one outstanding message
+  kLossRewind,      // a flow re-sending after a go-back-N rewind
+  kNothingToElide,  // no flow has packets left to send
+  kInfeasible,      // an allocation below (1 - eps) x cap, or a zero cap
+  kNone,            // not rejected; also the reason count
+};
+inline constexpr size_t kNumRejectReasons =
+    static_cast<size_t>(RejectReason::kNone);
+// Snake-case name for counters and reports ("loss", "fault_window", ...).
+const char* RejectReasonName(RejectReason r);
+
 struct HybridStats {
   int64_t probes = 0;            // quiescence evaluations in packet mode
   int64_t entry_rejects = 0;     // probes failing the gate
+  // entry_rejects split by RejectReason; sums to entry_rejects.
+  std::array<int64_t, kNumRejectReasons> rejects{};
   int64_t epochs = 0;            // flow-mode epochs entered
   int64_t ff_completions = 0;    // flows completed analytically
   int64_t ff_packets = 0;        // data packets elided (never simulated)
@@ -130,7 +160,7 @@ class HybridEngine {
     Time na_final = 0;  // pacing clock value after the last virtual send
     Time rtt_hint = 0;  // one-MTU path latency + ACK return
     Rate reff = 0;      // effective rate: policy cap clamped to path min
-    std::vector<int32_t> link_idx;  // dense data-path links (allocator)
+    std::vector<int32_t> link_idx;  // Link::index() of each data-path link
   };
 
   void OnFlowStarted(SenderQp* qp);
@@ -142,14 +172,20 @@ class HybridEngine {
 
   // Packet-mode probe: evaluates the gate, enters flow mode on pass.
   void Probe();
-  bool FabricQuiescent();
+  // The fabric part of the gate: the first gate reason that holds, or
+  // kNone. O(switches + NICs).
+  RejectReason FabricReject();
+  // The first flow reason that holds for `qp` alone, or kNone.
+  static RejectReason FlowReject(const SenderQp* qp);
   // True if `t` falls inside any fault's [at - guard, end + guard) window.
   bool InFaultWindow(Time t) const;
   // Earliest future fault boundary (activation or heal) minus guard;
   // kTimeMax if none.
   Time NextFaultBoundary(Time after) const;
 
-  bool TryEnterFlowMode();
+  // Enters flow mode and returns kNone, or returns the flow reason that
+  // keeps the fabric in packet mode.
+  RejectReason TryEnterFlowMode();
   // One flow-mode step toward `deadline`; sets in_ff_ = false on exit.
   void StepFlowMode(Time deadline);
   void ExitFlowMode(Time t_exit, bool infeasible, bool fault);
@@ -159,23 +195,26 @@ class HybridEngine {
   bool ModelFlow(SenderQp* qp);
   // Re-runs the allocator over the modeled set + optional candidate; true
   // when every allocation lands within eps of its cap.
-  bool AllocationFeasible(const FfFlow* candidate) const;
+  bool AllocationFeasible(const FfFlow* candidate);
   bool ProcessPendingArrivals();
   void ApplyDueCompletions(Time now);
   void CompleteFlow(size_t idx);
 
   Time PathDataLatency(const std::vector<Link*>& path, Bytes bytes) const;
   Time PathControlLatency(const std::vector<Link*>& path) const;
-  int32_t LinkIndex(const Link* l) const;
 
   Network* net_;
   HybridConfig cfg_;
   FaultPlan faults_;
   HybridStats stats_;
 
-  // Dense link index for the allocator (pointer -> construction order).
-  std::unordered_map<const Link*, int32_t> link_index_;
-  std::vector<Rate> link_capacity_;
+  // Allocator over every link's capacity, by Link::index().
+  MaxMinSolver solver_;
+  // Scratch reused by every probe and model: flows to model, and a flow's
+  // data and ACK paths.
+  std::vector<SenderQp*> todo_;
+  std::vector<Link*> path_;
+  std::vector<Link*> rpath_;
 
   // Registered flows: everything StartFlow announced that the lazy sweep
   // has not yet retired. reg_pos_: flow id -> index (-1 = absent).

@@ -17,6 +17,7 @@
 // lands strictly beyond the window that produced it.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -67,6 +68,9 @@ class Link {
 
   Rate rate() const { return rate_; }
   Time propagation() const { return propagation_; }
+  // Dense id: this link's position in Network::links() (-1 for a link no
+  // Network created). Lets per-link tables be plain vectors.
+  int32_t index() const { return index_; }
 
   // Wire time of `bytes` on this link.
   Time SerializationTime(Bytes bytes) const {
@@ -156,6 +160,8 @@ class Link {
   }
 
  private:
+  friend class Network;  // assigns index_
+
   struct Direction {
     Node* from = nullptr;
     int from_port = -1;
@@ -204,6 +210,7 @@ class Link {
 
   Rate rate_;
   Time propagation_;
+  int32_t index_ = -1;
   bool up_ = true;
   bool canonical_ = false;  // BindShardEngines was called
   uint64_t loss_seed_ = 0;

@@ -103,10 +103,11 @@ class Network {
   void SetFlowObserver(std::function<void(SenderQp*)> cb) {
     flow_observer_ = std::move(cb);
   }
-  // The ordered links a flow's data path traverses src -> dst, resolved
-  // with the same per-switch ECMP hash the wire uses. Deterministic; used
-  // by the flow-level max-min allocator.
-  std::vector<Link*> FlowPathLinks(const FlowSpec& spec) const;
+  // Fills `path` (cleared first; callers reuse it) with the ordered links a
+  // flow's data path traverses src -> dst, resolved with the same per-switch
+  // ECMP hash the wire uses. Deterministic; used by the flow-level max-min
+  // allocator.
+  void FlowPathLinks(const FlowSpec& spec, std::vector<Link*>* path) const;
 
   // Releases all per-NIC state of a completed flow (sender QP + receiver
   // slot) and recycles its id for a future StartFlow. Deferred to a
@@ -121,6 +122,7 @@ class Network {
     return switches_;
   }
   const std::vector<std::unique_ptr<RdmaNic>>& hosts() const { return nics_; }
+  // In creation order: links()[i]->index() == i.
   const std::vector<std::unique_ptr<Link>>& links() const { return links_; }
   RdmaNic* host(int node_id) const;
   // The switch with this node id, or nullptr.

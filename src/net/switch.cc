@@ -145,9 +145,11 @@ void SharedBufferSwitch::SetTxPaused(int port, int priority, bool paused) {
   s.tx_paused = paused;
   if (paused) {
     tx_paused_mask_[ip] |= static_cast<uint8_t>(1u << pr);
+    ++tx_paused_pairs_;
     paused_since_[ip][pr] = eq_->Now();
   } else {
     tx_paused_mask_[ip] &= static_cast<uint8_t>(~(1u << pr));
+    --tx_paused_pairs_;
     const Time episode = eq_->Now() - paused_since_[ip][pr];
     paused_accum_[ip][pr] += episode;
     counters_.paused_time_total += episode;

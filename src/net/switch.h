@@ -151,6 +151,12 @@ class SharedBufferSwitch : public Node {
   void SetTracer(telemetry::EventTracer* tracer) { tracer_ = tracer; }
   bool PauseSent(int port, int priority) const;
   bool TxPaused(int port, int priority) const;
+  // True when any (port, priority) has sent a PAUSE not yet resumed or is
+  // itself paused: the OR of PauseSent and TxPaused over every pair, read
+  // from two counters instead of a scan.
+  bool AnyPfcActive() const {
+    return pauses_outstanding_ > 0 || tx_paused_pairs_ > 0;
+  }
   // Cumulative time this (port, priority)'s transmission has spent paused,
   // including the currently open episode — what pause-storm detection and
   // Fig. 15-style "where did pauses propagate" analyses integrate over.
@@ -245,6 +251,8 @@ class SharedBufferSwitch : public Node {
   // Count of (port, priority) pairs with pause_sent set, so the per-release
   // CheckResumeAll scan is skipped entirely in the common unpaused state.
   int pauses_outstanding_ = 0;
+  // Count of (port, priority) pairs with tx_paused set (AnyPfcActive).
+  int tx_paused_pairs_ = 0;
   // Paused-time integration per (port, priority): closed episodes accumulate
   // into `paused_accum_`; `paused_since_` stamps the open episode.
   std::vector<std::array<Time, kNumPriorities>> paused_accum_;

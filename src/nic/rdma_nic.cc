@@ -259,7 +259,7 @@ void RdmaNic::TrySend() {
   // class the frame rides (CNPs use the high-priority class, ACK/NAK the
   // data class).
   if (!ctrl_out_.empty() &&
-      !tx_paused_[static_cast<size_t>(ctrl_out_.front().priority)]) {
+      !TxPaused(ctrl_out_.front().priority)) {
     Packet p = ctrl_out_.front();
     ctrl_out_.pop_front();
     l->Transmit(this, p);
@@ -277,7 +277,7 @@ void RdmaNic::TrySend() {
   for (size_t i = 0; i < n; ++i, idx = idx + 1 == n ? 0 : idx + 1) {
     SenderQp* qp = qps_[idx].get();
     if (!qp->HasPacketReady()) continue;
-    if (tx_paused_[static_cast<size_t>(qp->spec().priority)]) continue;
+    if (TxPaused(qp->spec().priority)) continue;
     const Time at = qp->EligibleAt();
     if (at > now) {
       earliest_future = std::min(earliest_future, at);
@@ -303,25 +303,25 @@ void RdmaNic::ReceivePacket(const Packet& p, int /*in_port*/) {
       counters_.pause_frames_received++;
       const bool pause = p.type == PacketType::kPause;
       const size_t pr = static_cast<size_t>(p.pfc_priority);
-      if (tracer_ && tx_paused_[pr] != pause) {
+      if (tracer_ && TxPaused(p.pfc_priority) != pause) {
         tracer_->Record(now,
                         pause ? telemetry::TraceEventType::kPauseRx
                               : telemetry::TraceEventType::kResumeRx,
                         id(), /*port=*/0, p.pfc_priority, -1, 0);
       }
-      tx_paused_[pr] = pause;
+      SetTxPaused(p.pfc_priority, pause);
       eq_->Cancel(rx_pause_expiry_[pr]);
       if (pause && config_.pfc_pause_expiry > 0) {
         // Pause-quanta timeout (see SwitchConfig::pfc_pause_expiry): a lost
         // RESUME can't leave this NIC muted forever.
         rx_pause_expiry_[pr] =
             eq_->ScheduleIn(config_.pfc_pause_expiry, [this, pr] {
-              if (tracer_ && tx_paused_[pr]) {
+              if (tracer_ && TxPaused(static_cast<int>(pr))) {
                 tracer_->Record(eq_->Now(),
                                 telemetry::TraceEventType::kResumeRx, id(),
                                 /*port=*/0, static_cast<int8_t>(pr), -1, 0);
               }
-              tx_paused_[pr] = false;
+              SetTxPaused(static_cast<int>(pr), false);
               TrySend();
             });
       }

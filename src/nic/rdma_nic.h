@@ -106,8 +106,10 @@ class RdmaNic : public Node {
   SenderQp* FindQp(int flow_id) const;
   const NicConfig& config() const { return config_; }
   bool TxPaused(int priority) const {
-    return tx_paused_[static_cast<size_t>(priority)];
+    return (tx_paused_mask_ >> priority) & 1u;
   }
+  // True when any priority is paused: the OR of TxPaused in one load.
+  bool AnyTxPaused() const { return tx_paused_mask_ != 0; }
   // Structured event tracing; propagates to existing and future sender QPs.
   void SetTracer(telemetry::EventTracer* tracer);
 
@@ -187,6 +189,11 @@ class RdmaNic : public Node {
   };
 
   void TrySend();
+  void SetTxPaused(int priority, bool paused) {
+    const auto bit = static_cast<uint8_t>(1u << priority);
+    tx_paused_mask_ = static_cast<uint8_t>(
+        paused ? tx_paused_mask_ | bit : tx_paused_mask_ & ~bit);
+  }
   void ScheduleWakeupAt(Time t);
   // Ensures a tick event exists at (or before) the head deadline.
   void ScheduleQpTick();
@@ -233,18 +240,21 @@ class RdmaNic : public Node {
   std::vector<RcvFlow> rcv_store_;    // packed, first-packet arrival order
   RingBuffer<Packet> ctrl_out_;
   // PFC frames from the pause-storm generator; sent ahead of everything and
-  // exempt from tx_paused_ (MAC control frames are never subject to PFC).
+  // exempt from PFC pauses (MAC control frames are never subject to PFC).
   RingBuffer<Packet> pfc_out_;
   CnpGenerationGate cnp_gate_;
 
-  bool tx_paused_[kNumPriorities] = {};
+  // Bit p set: a received PAUSE holds priority p. Kept next to
+  // control_delay_: the hybrid gate reads both for every NIC per probe.
+  static_assert(kNumPriorities <= 8, "tx_paused_mask_ is uint8_t");
+  uint8_t tx_paused_mask_ = 0;
+  Time control_delay_ = 0;
   // Expiry of a received PAUSE when NicConfig::pfc_pause_expiry is on.
   EventHandle rx_pause_expiry_[kNumPriorities];
   // Pause-storm state per priority: refresh period (0 = no storm) and the
   // pending re-PAUSE event.
   Time storm_refresh_[kNumPriorities] = {};
   EventHandle storm_timer_[kNumPriorities];
-  Time control_delay_ = 0;
   bool tx_suspended_ = false;   // hybrid wire-drain gate (data only)
   bool retain_completed_ = true;
   std::unique_ptr<host::HostPathDevice> host_path_;

@@ -9,7 +9,7 @@
 //    ~68 ms of the wheel cursor — O(1) per event, which is nearly every
 //    event a simulation schedules (serializations, propagations, DCQCN
 //    timers, retransmission timeouts);
-//  * a 4-ary min-heap of 24-byte entries for the sparse far-future
+//  * a 4-ary min-heap of 32-byte entries for the sparse far-future
 //    remainder. Heap entries never migrate to the wheel.
 //
 // The two tops are merged with the same comparison the heap alone used, so
@@ -292,6 +292,7 @@ class EventQueue {
     uint64_t seq;
     uint32_t slot;
   };
+  static_assert(sizeof(HeapEntry) == 32, "docs above quote the entry size");
 
   static constexpr uint32_t kNoFreeSlot = ~0u;
   static constexpr Time kTimeMax = std::numeric_limits<Time>::max();
@@ -320,8 +321,8 @@ class EventQueue {
     free_head_ = slot;
   }
 
-  // 4-ary min-heap: shallower than a binary heap and the four children of a
-  // node share a cache line's worth of 24-byte entries.
+  // 4-ary min-heap: shallower than a binary heap, and the four 32-byte
+  // children of a node span two cache lines.
   void HeapPush(HeapEntry e) {
     heap_.push_back(e);
     size_t i = heap_.size() - 1;

@@ -8,7 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -24,14 +28,33 @@
 namespace dcqcn {
 namespace {
 
-using hybrid::AllocDemand;
-using hybrid::AllocResult;
 using hybrid::HybridConfig;
 using hybrid::HybridEngine;
-using hybrid::MaxMinAllocate;
+using hybrid::MaxMinSolver;
 using hybrid::ParseHybridSpec;
 
 // ---------- allocator ----------
+
+struct AllocDemand {
+  Rate cap = 0;
+  std::vector<int32_t> links;  // dense link indices
+};
+
+struct AllocResult {
+  std::vector<Rate> rate;  // per demand
+  int rounds = 0;
+};
+
+// One problem on a fresh solver.
+AllocResult MaxMinAllocate(const std::vector<AllocDemand>& demands,
+                           const std::vector<Rate>& link_capacity) {
+  MaxMinSolver solver(link_capacity);
+  for (const AllocDemand& d : demands) solver.Add(d.cap, d.links);
+  AllocResult out;
+  out.rate = solver.Solve();
+  out.rounds = solver.rounds();
+  return out;
+}
 
 TEST(MaxMinAllocator, SingleFlowTakesMinOfCapAndLink) {
   const std::vector<Rate> links = {Gbps(40)};
@@ -76,6 +99,108 @@ TEST(MaxMinAllocator, ClassicTwoBottleneckMaxMin) {
 TEST(MaxMinAllocator, EmptyDemandsYieldEmptyResult) {
   const AllocResult r = MaxMinAllocate({}, {Gbps(40)});
   EXPECT_TRUE(r.rate.empty());
+}
+
+// Progressive filling that scans every link of the fabric each round: the
+// allocator before it learned to work on compact local link indices. Kept
+// here only as the bit-for-bit reference for the compact solver.
+AllocResult FullScanReference(const std::vector<AllocDemand>& demands,
+                              const std::vector<Rate>& link_capacity) {
+  const size_t nf = demands.size();
+  const size_t nl = link_capacity.size();
+  AllocResult out;
+  out.rate.assign(nf, 0.0);
+  if (nf == 0) return out;
+  std::vector<Rate> remaining = link_capacity;
+  std::vector<int32_t> active(nl, 0);
+  std::vector<char> frozen(nf, 0);
+  size_t unfrozen = nf;
+  for (const AllocDemand& d : demands) {
+    for (int32_t l : d.links) ++active[static_cast<size_t>(l)];
+  }
+  constexpr double kRelTol = 1e-9;
+  while (unfrozen > 0) {
+    ++out.rounds;
+    double inc = std::numeric_limits<double>::infinity();
+    for (size_t l = 0; l < nl; ++l) {
+      if (active[l] > 0) inc = std::min(inc, remaining[l] / active[l]);
+    }
+    for (size_t f = 0; f < nf; ++f) {
+      if (!frozen[f]) inc = std::min(inc, demands[f].cap - out.rate[f]);
+    }
+    if (inc < 0) inc = 0;
+    for (size_t f = 0; f < nf; ++f) {
+      if (!frozen[f]) out.rate[f] += inc;
+    }
+    for (size_t l = 0; l < nl; ++l) {
+      if (active[l] > 0) remaining[l] -= inc * active[l];
+    }
+    size_t froze = 0;
+    for (size_t f = 0; f < nf; ++f) {
+      if (frozen[f]) continue;
+      bool stop = out.rate[f] >= demands[f].cap * (1.0 - kRelTol);
+      for (int32_t l : demands[f].links) {
+        const auto li = static_cast<size_t>(l);
+        if (remaining[li] <= kRelTol * link_capacity[li]) stop = true;
+      }
+      if (stop) {
+        frozen[f] = 1;
+        ++froze;
+        --unfrozen;
+        for (int32_t l : demands[f].links) --active[static_cast<size_t>(l)];
+      }
+    }
+    if (froze == 0) break;
+  }
+  return out;
+}
+
+TEST(MaxMinAllocator, CompactSolveIsBitIdenticalToFullScan) {
+  // 400 links, of which demands only ever touch the first 48 plus a few
+  // scattered ones: most links are unused, as in a sparse fabric.
+  std::mt19937_64 rng(20150817);
+  const Rate kRates[] = {Gbps(10), Gbps(25), Gbps(40), Gbps(100)};
+  std::vector<Rate> capacity(400);
+  for (Rate& c : capacity) c = kRates[rng() % 4];
+  auto pick_link = [&rng]() -> int32_t {
+    return static_cast<int32_t>(rng() % 8 == 0 ? rng() % 400 : rng() % 48);
+  };
+
+  MaxMinSolver solver(capacity);  // reused across every problem
+  int contended = 0;
+  for (int problem = 0; problem < 2000; ++problem) {
+    std::vector<AllocDemand> demands(rng() % 13);
+    for (AllocDemand& d : demands) {
+      // Caps equal to a link rate half the time: exact ties between the
+      // cap clamp and a link's share are where rounding would diverge.
+      d.cap = rng() % 2 ? kRates[rng() % 4]
+                        : Gbps(1 + static_cast<double>(rng() % 120000) / 1e3);
+      d.links.resize(1 + rng() % 6);
+      for (int32_t& l : d.links) l = pick_link();
+    }
+    const AllocResult want = FullScanReference(demands, capacity);
+    const AllocResult once = MaxMinAllocate(demands, capacity);
+    solver.Clear();
+    for (const AllocDemand& d : demands) solver.Add(d.cap, d.links);
+    const std::vector<Rate>& reused = solver.Solve();
+
+    ASSERT_EQ(once.rate.size(), demands.size());
+    ASSERT_EQ(reused.size(), demands.size());
+    EXPECT_EQ(once.rounds, want.rounds) << "problem " << problem;
+    EXPECT_EQ(solver.rounds(), want.rounds) << "problem " << problem;
+    bool below_cap = false;
+    for (size_t i = 0; i < demands.size(); ++i) {
+      const auto bits = std::bit_cast<uint64_t>(want.rate[i]);
+      EXPECT_EQ(std::bit_cast<uint64_t>(once.rate[i]), bits)
+          << "problem " << problem << " demand " << i;
+      EXPECT_EQ(std::bit_cast<uint64_t>(reused[i]), bits)
+          << "problem " << problem << " demand " << i;
+      below_cap = below_cap || want.rate[i] < 0.99 * demands[i].cap;
+    }
+    contended += below_cap;
+  }
+  // Links were really shared in a good part of the problems.
+  EXPECT_GT(contended, 500);
 }
 
 // ---------- spec grammar ----------
@@ -278,6 +403,34 @@ TEST(HybridEngine, WindowBasedTransportNeverEntersFlowMode) {
                         "delivered_bytes", "cnps", "drops"}) {
     EXPECT_EQ(packet[0].counters.at(k), hybrid[0].counters.at(k)) << k;
   }
+}
+
+// Sum of the per-reason reject counters a trial exported.
+int64_t SumRejectReasons(const runner::TrialResult& r) {
+  int64_t sum = 0;
+  for (size_t i = 0; i < hybrid::kNumRejectReasons; ++i) {
+    sum += r.counters.at(
+        std::string("hybrid_reject_") +
+        hybrid::RejectReasonName(static_cast<hybrid::RejectReason>(i)));
+  }
+  return sum;
+}
+
+TEST(HybridEngine, RejectReasonsPartitionEntryRejects) {
+  FaultPlan plan;
+  plan.Add(LinkFlap(0, 8, Microseconds(300), Microseconds(200)));
+  const auto busy = RunPoissonCase("on", "", 128.0, nullptr, 1);
+  const auto dctcp = RunPoissonCase("on", "dctcp", 32.0, nullptr, 1);
+  const auto faulted = RunPoissonCase("on", "", 64.0, &plan, 1);
+  for (const auto* res : {&busy, &dctcp, &faulted}) {
+    const runner::TrialResult& r = (*res)[0];
+    EXPECT_GT(r.counters.at("hybrid_entry_rejects"), 0);
+    EXPECT_EQ(SumRejectReasons(r), r.counters.at("hybrid_entry_rejects"));
+  }
+  // Each run's characteristic reason shows up.
+  EXPECT_GT(dctcp[0].counters.at("hybrid_reject_window_based"), 0);
+  EXPECT_EQ(dctcp[0].counters.at("hybrid_epochs"), 0);
+  EXPECT_GT(faulted[0].counters.at("hybrid_reject_fault_window"), 0);
 }
 
 TEST(HybridEngine, FaultPlansForcePacketModeAndMatchInjection) {

@@ -140,8 +140,12 @@ std::vector<runner::TrialSpec> BuildFaultMatrix() {
 }
 
 TEST(Runner, FaultMatrixIsByteIdenticalAcrossJobCounts) {
-  runner::RunnerOptions serial{1, 11};
-  runner::RunnerOptions parallel{8, 11};
+  runner::RunnerOptions serial;
+  serial.jobs = 1;
+  serial.base_seed = 11;
+  runner::RunnerOptions parallel;
+  parallel.jobs = 8;
+  parallel.base_seed = 11;
   const auto r1 = runner::RunTrials(BuildFaultMatrix(), serial);
   const auto r8 = runner::RunTrials(BuildFaultMatrix(), parallel);
   const std::string json1 = runner::ResultsToJson(r1);
@@ -189,8 +193,12 @@ TEST(Runner, DifferentBaseSeedChangesResults) {
 }
 
 TEST(Runner, CsvIsByteIdenticalAcrossJobCounts) {
-  runner::RunnerOptions serial{1, 7};
-  runner::RunnerOptions parallel{8, 7};
+  runner::RunnerOptions serial;
+  serial.jobs = 1;
+  serial.base_seed = 7;
+  runner::RunnerOptions parallel;
+  parallel.jobs = 8;
+  parallel.base_seed = 7;
   EXPECT_EQ(runner::ResultsToCsv(runner::RunTrials(BuildMatrix(), serial)),
             runner::ResultsToCsv(runner::RunTrials(BuildMatrix(), parallel)));
 }

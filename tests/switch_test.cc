@@ -282,5 +282,67 @@ TEST(Switch, CountersConsistent) {
   EXPECT_EQ(h.sw->counters().dropped_packets, 0);
 }
 
+// Samples a PFC-heavy Clos incast (four uncontrolled line-rate senders into
+// one receiver) and checks, at every sampled instant, that the O(1) PFC
+// summaries equal the OR over every (port, priority) / priority they
+// summarize. `quanta` turns on pause expiry + refresh at switches and NICs,
+// which adds the timer-driven pause and resume edges.
+void ExpectPfcSummariesMatchScan(bool quanta) {
+  Network net(4);
+  TopologyOptions opt;
+  if (quanta) {
+    opt.switch_config.pfc_pause_expiry = Microseconds(20);
+    opt.switch_config.pfc_pause_refresh = Microseconds(10);
+    opt.nic_config.pfc_pause_expiry = Microseconds(20);
+  }
+  ClosTopology topo = BuildClos(net, 5, opt);
+  for (int h = 0; h < 4; ++h) {
+    FlowSpec f;
+    f.flow_id = net.NextFlowId();
+    f.src_host = topo.host(0, h)->id();
+    f.dst_host = topo.host(3, 0)->id();
+    f.size_bytes = 0;
+    f.mode = TransportMode::kRdmaRaw;
+    f.ecmp_salt = static_cast<uint64_t>(h);
+    net.StartFlow(f);
+  }
+  int mismatches = 0;
+  int sw_active = 0, sw_idle = 0, nic_active = 0, nic_idle = 0;
+  for (Time t = Nanoseconds(500); t <= Milliseconds(2);
+       t += Nanoseconds(500)) {
+    net.Run(t);
+    for (const auto& sw : net.switches()) {
+      bool any = false;
+      for (int p = 0; p < sw->num_ports(); ++p) {
+        for (int pr = 0; pr < kNumPriorities; ++pr) {
+          any = any || sw->PauseSent(p, pr) || sw->TxPaused(p, pr);
+        }
+      }
+      mismatches += sw->AnyPfcActive() != any;
+      (any ? sw_active : sw_idle)++;
+    }
+    for (const auto& nic : net.hosts()) {
+      bool any = false;
+      for (int pr = 0; pr < kNumPriorities; ++pr) any = any || nic->TxPaused(pr);
+      mismatches += nic->AnyTxPaused() != any;
+      (any ? nic_active : nic_idle)++;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  // Both states were sampled on both node kinds, so the check has teeth.
+  EXPECT_GT(sw_active, 0);
+  EXPECT_GT(sw_idle, 0);
+  EXPECT_GT(nic_active, 0);
+  EXPECT_GT(nic_idle, 0);
+}
+
+TEST(Switch, PfcSummaryMatchesPerPairScanDuringIncast) {
+  ExpectPfcSummariesMatchScan(/*quanta=*/false);
+}
+
+TEST(Switch, PfcSummaryMatchesPerPairScanWithPauseQuanta) {
+  ExpectPfcSummariesMatchScan(/*quanta=*/true);
+}
+
 }  // namespace
 }  // namespace dcqcn
