@@ -11,6 +11,7 @@
 //   ./build/bench/regen_cc_goldens --trace <scenario> <policy>
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "cc/scenarios.h"
@@ -24,6 +25,13 @@ struct Pin {
   uint64_t fingerprint;
   size_t trace_bytes;
 };
+
+// Without this gtest prints a Pin as its raw bytes, which start with two
+// string-literal addresses; under ASLR the discovered ctest names would then
+// differ on every build.
+void PrintTo(const Pin& pin, std::ostream* os) {
+  *os << pin.scenario << "/" << pin.policy;
+}
 
 // Captured at seed 42 from the pre-refactor state machines.
 constexpr Pin kPins[] = {
