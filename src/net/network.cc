@@ -173,10 +173,14 @@ Link* Network::Connect(Node* a, int port_a, Node* b, int port_b, Rate rate,
 void Network::BuildRoutes() {
   constexpr int kInf = std::numeric_limits<int>::max();
   // BFS from each host; each switch keeps every port whose peer is one hop
-  // closer to the host — the equal-cost set ECMP hashes over.
+  // closer to the host — the equal-cost set ECMP hashes over. The buffers
+  // are reused across hosts: SetRoute copies the set into the switch's
+  // shared port array.
+  std::vector<int> dist(nodes_.size());
+  std::deque<Node*> frontier;
+  std::vector<int> ports;
   for (const auto& nic : nics_) {
-    std::vector<int> dist(nodes_.size(), kInf);
-    std::deque<Node*> frontier;
+    std::fill(dist.begin(), dist.end(), kInf);
     dist[static_cast<size_t>(nic->id())] = 0;
     frontier.push_back(nic.get());
     while (!frontier.empty()) {
@@ -194,13 +198,13 @@ void Network::BuildRoutes() {
     for (const auto& sw : switches_) {
       const int d = dist[static_cast<size_t>(sw->id())];
       if (d == kInf) continue;  // unreachable
-      std::vector<int> ports;
+      ports.clear();
       for (const Adjacency& a : adj_[static_cast<size_t>(sw->id())]) {
         if (dist[static_cast<size_t>(a.peer->id())] == d - 1) {
           ports.push_back(a.local_port);
         }
       }
-      if (!ports.empty()) sw->SetRoute(nic->id(), std::move(ports));
+      if (!ports.empty()) sw->SetRoute(nic->id(), ports);
     }
   }
 }

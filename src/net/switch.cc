@@ -15,6 +15,8 @@ SharedBufferSwitch::SharedBufferSwitch(EventQueue* eq, Rng* rng, int id,
       pq_(static_cast<size_t>(num_ports) * kNumPriorities),
       egress_nonempty_(static_cast<size_t>(num_ports)),
       tx_paused_mask_(static_cast<size_t>(num_ports)),
+      pause_sent_mask_(static_cast<size_t>(num_ports)),
+      paused_ports_((static_cast<size_t>(num_ports) + 63) / 64),
       paused_accum_(static_cast<size_t>(num_ports)),
       paused_since_(static_cast<size_t>(num_ports)),
       rx_pause_expiry_(static_cast<size_t>(num_ports)),
@@ -61,22 +63,42 @@ void SharedBufferSwitch::SetSharedBufferOverride(Bytes bytes) {
   CheckResumeAll();
 }
 
-void SharedBufferSwitch::SetRoute(int dst_host, std::vector<int> ports) {
+void SharedBufferSwitch::SetRoute(int dst_host,
+                                  const std::vector<int>& ports) {
   DCQCN_CHECK(dst_host >= 0);
   DCQCN_CHECK(!ports.empty());
+  DCQCN_CHECK(ports.size() <= kRouteCountMask);
   for (int p : ports) DCQCN_CHECK(p >= 0 && p < num_ports());
-  if (static_cast<size_t>(dst_host) >= routes_.size()) {
-    routes_.resize(static_cast<size_t>(dst_host) + 1);
+  const auto count = static_cast<uint32_t>(ports.size());
+  uint32_t entry = 0;
+  for (uint32_t set : route_sets_) {
+    if ((set & kRouteCountMask) != count) continue;
+    const int32_t* stored = route_ports_.data() + (set >> kRouteCountBits);
+    if (std::equal(ports.begin(), ports.end(), stored)) {
+      entry = set;
+      break;
+    }
   }
-  routes_[static_cast<size_t>(dst_host)] = std::move(ports);
+  if (entry == 0) {
+    const size_t offset = route_ports_.size();
+    DCQCN_CHECK(offset <= (UINT32_MAX >> kRouteCountBits));
+    entry = static_cast<uint32_t>(offset) << kRouteCountBits | count;
+    route_ports_.insert(route_ports_.end(), ports.begin(), ports.end());
+    route_sets_.push_back(entry);
+  }
+  if (static_cast<size_t>(dst_host) >= route_entry_.size()) {
+    route_entry_.resize(static_cast<size_t>(dst_host) + 1, 0);
+  }
+  route_entry_[static_cast<size_t>(dst_host)] = entry;
 }
 
-const std::vector<int>& SharedBufferSwitch::RouteTo(int dst_host) const {
+std::span<const int> SharedBufferSwitch::RouteTo(int dst_host) const {
   DCQCN_CHECK(dst_host >= 0 &&
-              static_cast<size_t>(dst_host) < routes_.size());
-  const auto& r = routes_[static_cast<size_t>(dst_host)];
-  DCQCN_CHECK(!r.empty());
-  return r;
+              static_cast<size_t>(dst_host) < route_entry_.size());
+  const uint32_t entry = route_entry_[static_cast<size_t>(dst_host)];
+  DCQCN_CHECK(entry != 0);
+  return {route_ports_.data() + (entry >> kRouteCountBits),
+          entry & kRouteCountMask};
 }
 
 Bytes SharedBufferSwitch::CurrentPfcThreshold() const {
@@ -197,7 +219,7 @@ void SharedBufferSwitch::ReceivePacket(const Packet& p, int in_port) {
 }
 
 int SharedBufferSwitch::EcmpSelect(uint64_t ecmp_key, int dst_host) const {
-  const auto& ports = RouteTo(dst_host);
+  const std::span<const int> ports = RouteTo(dst_host);
   const size_t n = ports.size();
   if (n == 1) return ports[0];  // downlinks: nothing to hash over
   const uint64_t mix = EcmpMix(ecmp_key, static_cast<uint64_t>(id()));
@@ -313,8 +335,7 @@ void SharedBufferSwitch::CheckPause(int in_port, int priority) {
   PqState& s = Pq(in_port, priority);
   if (s.pause_sent) return;
   if (s.ingress_bytes > CurrentPfcThreshold()) {
-    s.pause_sent = true;
-    ++pauses_outstanding_;
+    SetPauseSent(in_port, priority, true);
     SendPfcFrame(in_port, priority, /*pause=*/true);
     ArmPauseRefresh(in_port, priority);
   }
@@ -341,21 +362,45 @@ void SharedBufferSwitch::CheckPauseAll() {
 void SharedBufferSwitch::CheckResumeAll() {
   // The dynamic threshold rises as the shared pool drains, so any paused
   // ingress may become resumable when any packet leaves. In the common
-  // ECN-controlled state nothing is paused, and this is one load.
+  // ECN-controlled state nothing is paused, and this is one load. Otherwise
+  // only the paused pairs are visited, in the ascending (port, priority)
+  // order a full scan would take, so RESUMEs go out in the same sequence.
+  // The loop only ever clears pause_sent (sending a frame schedules events
+  // but runs none), so iterating over copies of the masks is exact.
   if (pauses_outstanding_ == 0) return;
   const Bytes thr = CurrentPfcThreshold();
   const Bytes resume_level = std::max<Bytes>(0, thr - config_.resume_offset);
-  for (int port = 0; port < num_ports(); ++port) {
-    for (int pr = 0; pr < kNumPriorities; ++pr) {
-      PqState& s = Pq(port, pr);
-      if (s.pause_sent && s.ingress_bytes <= resume_level) {
-        s.pause_sent = false;
-        --pauses_outstanding_;
+  for (size_t w = 0; w < paused_ports_.size(); ++w) {
+    for (uint64_t ports = paused_ports_[w]; ports != 0; ports &= ports - 1) {
+      const int port = static_cast<int>(w * 64) + __builtin_ctzll(ports);
+      const uint8_t prios = pause_sent_mask_[static_cast<size_t>(port)];
+      for (unsigned m = prios; m != 0; m &= m - 1) {
+        const int pr = __builtin_ctz(m);
+        if (Pq(port, pr).ingress_bytes > resume_level) continue;
+        SetPauseSent(port, pr, false);
         eq_->Cancel(pause_refresh_[static_cast<size_t>(port)]
                                   [static_cast<size_t>(pr)]);
         SendPfcFrame(port, pr, /*pause=*/false);
       }
     }
+  }
+}
+
+void SharedBufferSwitch::SetPauseSent(int port, int priority, bool sent) {
+  const auto ip = static_cast<size_t>(port);
+  PqState& s = Pq(port, priority);
+  DCQCN_DCHECK(s.pause_sent != sent);
+  s.pause_sent = sent;
+  const auto bit = static_cast<uint8_t>(1u << priority);
+  const uint64_t port_bit = uint64_t{1} << (ip % 64);
+  if (sent) {
+    ++pauses_outstanding_;
+    pause_sent_mask_[ip] |= bit;
+    paused_ports_[ip / 64] |= port_bit;
+  } else {
+    --pauses_outstanding_;
+    pause_sent_mask_[ip] &= static_cast<uint8_t>(~bit);
+    if (pause_sent_mask_[ip] == 0) paused_ports_[ip / 64] &= ~port_bit;
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -124,9 +125,12 @@ class SharedBufferSwitch : public Node {
                      SwitchConfig config, QueuePool* pool = nullptr);
 
   // Routing: equal-cost output ports toward a destination host. ECMP picks
-  // among them by hashing the flow's key with this switch's id.
-  void SetRoute(int dst_host, std::vector<int> ports);
-  const std::vector<int>& RouteTo(int dst_host) const;
+  // among them by hashing the flow's key with this switch's id, so the
+  // order of `ports` is kept exactly. SetRoute is the only writer; an empty
+  // set, a port out of range or a set too large for the route entry is a
+  // hard error.
+  void SetRoute(int dst_host, const std::vector<int>& ports);
+  std::span<const int> RouteTo(int dst_host) const;
 
   // The output port ECMP would pick for a flow with this key (exposed so
   // experiments can pre-compute path collisions, e.g. the Fig. 20 parking
@@ -200,6 +204,7 @@ class SharedBufferSwitch : public Node {
   void CheckPause(int in_port, int priority);
   void CheckPauseAll();
   void CheckResumeAll();
+  void SetPauseSent(int port, int priority, bool sent);
   void SendPfcFrame(int port, int priority, bool pause);
   void ArmPauseRefresh(int port, int priority);
   void SetTxPaused(int port, int priority, bool paused);
@@ -248,8 +253,15 @@ class SharedBufferSwitch : public Node {
   static_assert(kNumPriorities <= 8, "priority masks are uint8_t");
   std::vector<uint8_t> egress_nonempty_;
   std::vector<uint8_t> tx_paused_mask_;
-  // Count of (port, priority) pairs with pause_sent set, so the per-release
-  // CheckResumeAll scan is skipped entirely in the common unpaused state.
+  // Paused pairs for the per-release RESUME check: per port, the mask of
+  // priorities with pause_sent set; per switch, a bitmap of the ports whose
+  // mask is non-zero. CheckResumeAll visits only those pairs, in ascending
+  // (port, priority) order, instead of every port x priority. Both are kept
+  // by SetPauseSent, the only place pause_sent flips.
+  std::vector<uint8_t> pause_sent_mask_;
+  std::vector<uint64_t> paused_ports_;
+  // Count of (port, priority) pairs with pause_sent set, so CheckResumeAll
+  // is skipped entirely in the common unpaused state.
   int pauses_outstanding_ = 0;
   // Count of (port, priority) pairs with tx_paused set (AnyPfcActive).
   int tx_paused_pairs_ = 0;
@@ -272,7 +284,17 @@ class SharedBufferSwitch : public Node {
   std::vector<InFlightRelease> in_flight_;
 
   Bytes shared_used_ = 0;
-  std::vector<std::vector<int>> routes_;  // dst host -> out ports
+  // Flat route table. Every distinct equal-cost set is stored once in
+  // `route_ports_` (a Clos switch has a handful: one per downlink plus the
+  // uplink set); `route_entry_[dst]` packs that set's offset (high 24 bits)
+  // and size (low 8 bits), 0 meaning no route. A lookup reads one 4-byte
+  // entry and a small shared array instead of a heap block per destination.
+  // `route_sets_` lists each distinct set's entry for SetRoute's dedupe.
+  static constexpr int kRouteCountBits = 8;
+  static constexpr uint32_t kRouteCountMask = (1u << kRouteCountBits) - 1;
+  std::vector<int32_t> route_ports_;
+  std::vector<uint32_t> route_entry_;
+  std::vector<uint32_t> route_sets_;
   SwitchCounters counters_;
   telemetry::EventTracer* tracer_ = nullptr;
 };

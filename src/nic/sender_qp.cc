@@ -28,6 +28,7 @@ SenderQp::SenderQp(EventQueue* eq, RdmaNic* nic, FlowSpec spec,
                                 ? spec_.cc_policy
                                 : DefaultCcPolicyId(spec_.mode);
   cc_ = CreateCcPolicy(policy_id, config, line_rate_);
+  window_based_ = cc_->window_based();
   if (unbounded_) {
     // One endless message.
     messages_.push_back(Message{0, std::numeric_limits<uint64_t>::max(), 0,
@@ -69,7 +70,7 @@ void SenderQp::Start() {
 }
 
 bool SenderQp::WindowAllows() const {
-  if (!cc_->window_based()) return true;
+  if (!window_based_) return true;
   const Bytes in_flight =
       static_cast<Bytes>(snd_next_ - snd_una_) * kMtu;
   return in_flight + kMtu <= cc_->Cwnd();
@@ -116,7 +117,7 @@ Packet SenderQp::BuildNextPacket() const {
   // receiver to rewind, so the whole message is re-delivered even when some
   // of the retransmissions are lost too.
   p.message_restart = go_back_zero_ && !unbounded_ &&
-                      !cc_->window_based() && snd_next_ < snd_high_;
+                      !window_based_ && snd_next_ < snd_high_;
   p.transport = spec_.mode;
   p.tx_timestamp = eq_->Now();
   p.ecmp_key = FlowEcmpKey(spec_.flow_id, spec_.ecmp_salt);
@@ -130,7 +131,7 @@ void SenderQp::OnPacketSent(Time now, const Packet& p) {
   counters_.packets_sent++;
   counters_.bytes_sent += p.size_bytes;
 
-  if (!cc_->window_based()) {
+  if (!window_based_) {
     // Pacing: the next packet may start one ideal inter-packet gap after
     // this one at the current rate (jittered like a hardware rate limiter's
     // quantization). At line rate the gap equals the wire serialization
@@ -166,7 +167,7 @@ void SenderQp::OnRetxTimeout() {
 
 void SenderQp::RewindForLoss(Time now) {
   uint64_t target = snd_una_;
-  if (go_back_zero_ && !cc_->window_based() && !messages_.empty() &&
+  if (go_back_zero_ && !window_based_ && !messages_.empty() &&
       !unbounded_) {
     // ConnectX-3-style go-back-0: the whole in-progress message restarts.
     target = std::min(target, messages_.front().begin_seq);
@@ -263,7 +264,7 @@ void SenderQp::OnNak(Time now, uint64_t expected_seq) {
   // ...and signals a loss: rewind (go-back-N to the gap, or restart the
   // whole message on go-back-0 hardware).
   if (expected_seq < snd_next_) {
-    if (!go_back_zero_ || cc_->window_based() || unbounded_) {
+    if (!go_back_zero_ || window_based_ || unbounded_) {
       counters_.retransmitted_packets +=
           static_cast<int64_t>(snd_next_ - expected_seq);
       snd_next_ = expected_seq;

@@ -219,6 +219,9 @@ class SenderQp : public CcHost {
 
   // The congestion-control policy: owns all rate/window state.
   std::unique_ptr<CcPolicy> cc_;
+  // cc_->window_based(), read once: cc_ never changes after construction,
+  // and the send path asks on every packet.
+  bool window_based_ = false;
   // Embedded timer nodes for the NIC's batched per-NIC tick; armed via
   // nic_->ArmQpTimer, released via nic_->CancelQpTimer.
   QpTimerNode alpha_node_;

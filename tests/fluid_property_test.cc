@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "fluid/fluid_model.h"
 #include "fluid/sweep.h"
@@ -111,6 +112,13 @@ struct SweepCase {
   double byte_counter_kb;
   bool expect_convergence;
 };
+
+// Without this gtest prints a SweepCase as its raw bytes, tail padding
+// included, so the discovered ctest names would differ between builds.
+void PrintTo(const SweepCase& c, std::ostream* os) {
+  *os << "timer=" << c.timer_us << "us,B=" << c.byte_counter_kb << "KB,"
+      << (c.expect_convergence ? "converges" : "diverges");
+}
 
 class ConvergenceCases : public ::testing::TestWithParam<SweepCase> {};
 

@@ -9,6 +9,10 @@
 namespace dcqcn {
 namespace {
 
+std::vector<int> Ports(std::span<const int> set) {
+  return {set.begin(), set.end()};
+}
+
 TEST(Network, RoutesOnALine) {
   // host A - sw1 - sw2 - host B.
   Network net(1);
@@ -21,9 +25,9 @@ TEST(Network, RoutesOnALine) {
   net.Connect(s1, 1, s2, 0, Gbps(40), Microseconds(1));
   net.Connect(s2, 1, b, 0, Gbps(40), Microseconds(1));
   net.BuildRoutes();
-  EXPECT_EQ(s1->RouteTo(b->id()), (std::vector<int>{1}));
-  EXPECT_EQ(s1->RouteTo(a->id()), (std::vector<int>{0}));
-  EXPECT_EQ(s2->RouteTo(b->id()), (std::vector<int>{1}));
+  EXPECT_EQ(Ports(s1->RouteTo(b->id())), (std::vector<int>{1}));
+  EXPECT_EQ(Ports(s1->RouteTo(a->id())), (std::vector<int>{0}));
+  EXPECT_EQ(Ports(s2->RouteTo(b->id())), (std::vector<int>{1}));
 
   FlowSpec f;
   f.flow_id = 0;

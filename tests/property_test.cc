@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <tuple>
 
 #include "common/rng.h"
@@ -74,6 +75,13 @@ struct RpGrid {
   int f;
   double rai_mbps;
 };
+
+// Without this gtest prints an RpGrid as its raw bytes, tail padding
+// included, so the discovered ctest names would differ between builds.
+void PrintTo(const RpGrid& grid, std::ostream* os) {
+  *os << "g=" << grid.g << ",F=" << grid.f << ",R_AI=" << grid.rai_mbps
+      << "Mbps";
+}
 
 class RpInvariants : public ::testing::TestWithParam<RpGrid> {};
 

@@ -29,10 +29,10 @@ TEST(Clos, TorHasTwoEcmpUplinksToOtherPod) {
   auto t = BuildClos(net, 2, TopologyOptions{});
   // From T1 (pod 0) toward a host under T4 (pod 1): both uplinks are
   // equal cost.
-  const auto& up = t.tors[0]->RouteTo(t.host(3, 0)->id());
+  const std::span<const int> up = t.tors[0]->RouteTo(t.host(3, 0)->id());
   EXPECT_EQ(up.size(), 2u);
   // Toward a local host: exactly the access port.
-  const auto& local = t.tors[0]->RouteTo(t.host(0, 1)->id());
+  const std::span<const int> local = t.tors[0]->RouteTo(t.host(0, 1)->id());
   ASSERT_EQ(local.size(), 1u);
   EXPECT_EQ(local[0], 1);
 }
